@@ -442,9 +442,10 @@ let e13 () =
         List.length (Fd_verify.Finding.errors vr.Fd_verify.Verify.findings)
       in
       if errors > 0 then failwith "E13: static errors on a correct program";
-      (* simulation cost is linear in P; past 64 procs on this kernel
-         the row exists to show the check column staying flat *)
-      if p <= 64 then begin
+      (* simulation grows faster than linear in P (dgefa n=64: ~2 s at
+         P=1024, ~15 s at P=4096); the P=65536 row exists to show the
+         check column staying flat *)
+      if p <= 1024 then begin
         let config = Driver.machine_config opts in
         let t1 = Unix.gettimeofday () in
         let _stats, _frames = Scheduler.run config compiled.Codegen.program in
@@ -463,7 +464,8 @@ let e13 () =
     "(check walks all P processors abstractly over the compressed lane@.\
     \ domain and replays the interval skeleton; simulate is the@.\
     \ wall-clock cost of the full fault-free virtual-time simulation of@.\
-    \ the same node program, omitted past P=64 where it is minutes)@."
+    \ the same node program, omitted at P=65536: simulation time grows@.\
+    \ faster than linear in P, ~15 s already at P=4096 for n=64)@."
 
 (* --- E14: tracing overhead - ring buffer on vs off ---------------------------- *)
 
@@ -535,9 +537,9 @@ let e16 () =
         Fd_verify.Cost.analyze ~profile ~config compiled.Codegen.program
       in
       let t_cost = (Unix.gettimeofday () -. t0) *. 1e3 in
-      (* the differential leg is linear in P; past 64 procs the row
-         exists to show the prediction column staying flat *)
-      if p <= 64 then begin
+      (* the differential leg grows faster than linear in P; the
+         P=65536 row exists to show the prediction column staying flat *)
+      if p <= 1024 then begin
         let t1 = Unix.gettimeofday () in
         let stats, _ = Scheduler.run config compiled.Codegen.program in
         let t_sim = (Unix.gettimeofday () -. t1) *. 1e3 in
@@ -569,59 +571,7 @@ let e16 () =
     "(cost replays the interval skeleton with affine per-group clocks under@.\
     \ the machine model, so the prediction is flat in P; the differential@.\
     \ leg simulates compute-free and checks every counter bit-identical@.\
-    \ and the makespan exact, omitted past P=64 where it is minutes)@."
-
-(* --- E17: parallel deterministic simulation on OCaml 5 domains --------------- *)
-
-(* Wall-clock of the domains-parallel scheduler against the sequential
-   path, with bit-identity asserted on every row.  Speedup needs real
-   cores: the generation phase shards the interpreters across domains,
-   so on a single-core host (Domain.recommended_domain_count = 1) the
-   parallel path can only add synchronization overhead — the table
-   reports whatever the host gives, honestly. *)
-let e17 () =
-  let cores = Domain.recommended_domain_count () in
-  header
-    (Fmt.str "E17: domains-parallel scheduler - wall clock vs domains (host cores=%d)"
-       cores);
-  Fmt.pr "  program |    P | domains | wall (ms) | speedup | identical@.";
-  let domain_counts =
-    List.sort_uniq compare
-      (1 :: List.filter (fun d -> d <= max 2 cores) [ 2; 4; 8; cores ])
-  in
-  let bench_one name src nprocs =
-    let opts = { Options.default with Options.nprocs } in
-    let prog = (Driver.compile_source ~opts src).Codegen.program in
-    let baseline = ref "" and t_seq = ref 0.0 in
-    List.iter
-      (fun domains ->
-        let config = Config.make ~domains ~nprocs () in
-        let t0 = Unix.gettimeofday () in
-        let r = Scheduler.run_partial config prog in
-        let dt = Unix.gettimeofday () -. t0 in
-        let js =
-          Fd_support.Json.to_string (Stats.to_json r.Scheduler.p_stats)
-        in
-        if domains = 1 then begin
-          baseline := js;
-          t_seq := dt
-        end;
-        if js <> !baseline then failwith "E17: parallel run diverged";
-        Fmt.pr "%9s | %4d | %7d | %9.2f | %7.2f | %9b@." name nprocs domains
-          (dt *. 1e3) (!t_seq /. dt) (js = !baseline))
-      domain_counts
-  in
-  List.iter
-    (fun nprocs ->
-      bench_one "dgefa" (Fd_workloads.Dgefa.source ~n:(if quick then 16 else 32) ()) nprocs;
-      bench_one "jacobi2d"
-        (Fd_workloads.Stencil.jacobi2d ~n:(if quick then 16 else 32)
-           ~t:(if quick then 4 else 10) ())
-        nprocs)
-    (if quick then [ 64; 256 ] else [ 64; 256; 1024 ]);
-  Fmt.pr
-    "(every row's statistics are byte-compared against the domains=1 run;@.\
-    \ speedup = sequential wall / parallel wall on this host)@."
+    \ and the makespan exact, omitted at P=65536 as in E13)@."
 
 let () =
   Fmt.pr "Fortran D interprocedural compilation - experiment tables@.";
@@ -642,6 +592,5 @@ let () =
   e13 ();
   e14 ();
   e16 ();
-  e17 ();
   if micro then e8b ();
   Fmt.pr "@.all experiments verified against sequential execution.@."

@@ -51,10 +51,11 @@ let () =
   Fmt.pr "%a" Fd_machine.Node.pp_program compiled.Fd_core.Codegen.program;
 
   section "traced simulation";
-  let machine = Fd_machine.Config.make ~nprocs:4 ~record_trace:true () in
+  let tr = Fd_trace.Trace.create () in
+  let machine = Fd_machine.Config.make ~nprocs:4 ~trace:tr () in
   let r = Fd_core.Driver.run_source ~opts ~machine source in
   List.iter
-    (fun ev -> Fmt.pr "%a@." Fd_machine.Stats.pp_event ev)
-    (Fd_support.Listx.take 12 (Fd_machine.Stats.trace r.Fd_core.Driver.stats));
+    (Fmt.pr "%a@." Fd_trace.Trace.pp_ev)
+    (Fd_support.Listx.take 12 (Fd_trace.Trace.to_list tr));
   Fmt.pr "...@.%a@." Fd_machine.Stats.pp r.Fd_core.Driver.stats;
   Fmt.pr "verified: %b@." (Fd_core.Driver.verified r)

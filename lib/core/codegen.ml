@@ -32,6 +32,7 @@ type state = {
   rd : Reaching_decomps.t;
   effects : Side_effects.t;
   mutable counter : int;  (* fresh tags / sites / temporaries *)
+  mutable pseudo_sid : int;  (* last remap$ statement id issued *)
   exports : (string, Exports.t) Hashtbl.t;
   mutable remap_stats : (string * Dynamic_decomp.opt_stats) list;
   mutable partition_log : (string * string) list;
@@ -42,6 +43,10 @@ type state = {
 let fresh st =
   st.counter <- st.counter + 1;
   st.counter
+
+let remap_stmt st rm =
+  st.pseudo_sid <- st.pseudo_sid + 1;
+  Dynamic_decomp.remap_stmt ~sid:st.pseudo_sid rm
 
 let export_of st name =
   match Hashtbl.find_opt st.exports name with
@@ -94,14 +99,12 @@ and request =
 
 (* --- Environment helpers ----------------------------------------------- *)
 
-let is_pseudo_sid sid = sid >= 1_000_000
-
 let decomp_of ctx sid name : Decomp.t =
   match SM.find_opt name ctx.override with
   | Some d -> d
   | None -> (
     let rank = Symtab.rank ctx.symtab name in
-    if is_pseudo_sid sid then Decomp.replicated rank
+    if Dynamic_decomp.is_pseudo_sid sid then Decomp.replicated rank
     else
       match Reaching_decomps.unique_at ctx.st.rd ctx.pname sid name with
       | Some d -> d
@@ -901,7 +904,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
             s
             :: List.map
                  (fun (x, d) ->
-                   Dynamic_decomp.remap_stmt
+                   remap_stmt ctx.st
                      { Dynamic_decomp.rm_array = x; rm_decomp = d; rm_move = true })
                  (distribute_targets ctx s)
           else [ s ]
@@ -929,7 +932,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
                 (fun (f, d) ->
                   Option.map
                     (fun v ->
-                      Dynamic_decomp.remap_stmt
+                      remap_stmt ctx.st
                         { Dynamic_decomp.rm_array = v; rm_decomp = d; rm_move = true })
                     (actual_of f))
                 lst
@@ -958,7 +961,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
     let restores () =
       List.map
         (fun x ->
-          Dynamic_decomp.remap_stmt
+          remap_stmt ctx.st
             { Dynamic_decomp.rm_array = x; rm_decomp = inherited_decomp ctx x;
               rm_move = true })
         formals_distributed
@@ -2069,7 +2072,8 @@ let compile_analyzed ?(sink = Diag.global) (opts : Options.t)
      (Section 6.4); reject such programs before generating code. *)
   ignore (Aliasing.check ~sink acg effects);
   let st =
-    { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
+    { opts; sink; acg; rd; effects; counter = 0;
+      pseudo_sid = Dynamic_decomp.pseudo_sid_base; exports = Hashtbl.create 16;
       remap_stats = []; partition_log = [] }
   in
   let compile_one name =

@@ -19,6 +19,7 @@ type state = {
   rd : Reaching_decomps.t;
   effects : Side_effects.t;
   mutable counter : int;  (** fresh communication tags / sites *)
+  mutable pseudo_sid : int;  (** last [remap$] statement id issued *)
   exports : (string, Exports.t) Hashtbl.t;
   mutable remap_stats : (string * Dynamic_decomp.opt_stats) list;
   mutable partition_log : (string * string) list;

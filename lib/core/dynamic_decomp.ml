@@ -23,11 +23,11 @@ open Fd_analysis
 
 module SS = Set.Make (String)
 
-let pseudo_sid = ref 1_000_000
+(* Statement ids at or above this base name remap$ pseudo-statements;
+   the compile that inserts them numbers them from here. *)
+let pseudo_sid_base = 1_000_000
 
-let fresh_pseudo_sid () =
-  incr pseudo_sid;
-  !pseudo_sid
+let is_pseudo_sid sid = sid >= pseudo_sid_base
 
 type remap = { rm_array : string; rm_decomp : Decomp.t; rm_move : bool }
 
@@ -45,7 +45,7 @@ let kind_of_code code size =
   | 3 -> Ast.Block_cyclic size
   | _ -> Diag.error "bad remap$ kind code %d" code
 
-let remap_stmt (rm : remap) : Ast.stmt =
+let remap_stmt ~sid (rm : remap) : Ast.stmt =
   let dim, kind, size =
     match Decomp.dist_dim rm.rm_decomp with
     | None -> (-1, 0, 0)
@@ -53,7 +53,7 @@ let remap_stmt (rm : remap) : Ast.stmt =
       let c, s = kind_code k in
       (d, c, s)
   in
-  { Ast.sid = fresh_pseudo_sid ();
+  { Ast.sid;
     loc = Loc.none;
     kind =
       Ast.Call
@@ -469,7 +469,7 @@ let array_kills ~(symtab : Symtab.t) ~(value_killer : string -> int -> bool)
       match as_remap s with
       | Some r when r.rm_move && next_touch_kills r.rm_array rest ->
         incr converted;
-        remap_stmt { r with rm_move = false } :: scan_block rest
+        remap_stmt ~sid:s.Ast.sid { r with rm_move = false } :: scan_block rest
       | Some _ -> s :: scan_block rest
       | None -> (
         match s.Ast.kind with

@@ -19,9 +19,14 @@ module DM : Map.S with type key = string and type 'a t = 'a Map.Make(String).t
 
 type remap = { rm_array : string; rm_decomp : Decomp.t; rm_move : bool }
 
-val remap_stmt : remap -> Ast.stmt
-(** Encode as a [remap$] pseudo-call with a fresh (pseudo-range)
-    statement id. *)
+val pseudo_sid_base : int
+(** Statement ids from here up name [remap$] pseudo-statements. *)
+
+val is_pseudo_sid : int -> bool
+
+val remap_stmt : sid:int -> remap -> Ast.stmt
+(** Encode as a [remap$] pseudo-call with statement id [sid], which the
+    caller draws from its own counter above {!pseudo_sid_base}. *)
 
 val as_remap : Ast.stmt -> remap option
 val is_remap_of : string -> Ast.stmt -> bool

@@ -1,19 +1,15 @@
-(* Remap planning shared by the sequential scheduler and the parallel
-   generation phase ({!Pdes}).
+(* Remap planning for the scheduler's collective sites.
 
    [plan_remap] performs the global data movement of a dynamic
    redistribution — planning element moves from the old layout, switching
    layouts everywhere, applying the copies — and returns the
    {!Eff.remap_summary} the scheduler's time/stats accounting consumes.
-   Keeping one copy of this logic is what makes the parallel scheduler's
-   replayed accounting bit-identical to the sequential path. *)
+   The scheduler sees only the summary, never the element moves. *)
 
 open Fd_support
 
 (* The per-processor release cost of a remap: one message startup per
-   partner pair plus the per-byte cost of everything sent and received.
-   Shared verbatim between the sequential commit and generation's shadow
-   clocks, so both compute the same floats in the same order. *)
+   partner pair plus the per-byte cost of everything sent and received. *)
 let remap_cost ~alpha ~beta (s : Eff.remap_summary) p =
   if not s.Eff.rs_mark_only then
     (float_of_int s.Eff.rs_npairs.(p) *. alpha)

@@ -1,7 +1,6 @@
-(** Remap planning shared by the sequential scheduler and the parallel
-    generation phase ({!Pdes}): one copy of the data-movement plan and
-    the per-processor cost formula, so the parallel scheduler's replayed
-    accounting is bit-identical to the sequential path. *)
+(** Remap planning for the scheduler's collective sites: the
+    data-movement plan and the per-processor cost formula, behind one
+    {!Eff.remap_summary} so the scheduler never sees element moves. *)
 
 val remap_cost : alpha:float -> beta:float -> Eff.remap_summary -> int -> float
 (** Release cost of a remap for processor [p]: one message startup per

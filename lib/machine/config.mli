@@ -15,8 +15,6 @@ type t = {
   strict_validity : bool;
       (** abort on reads of non-owned, never-received elements (catches
           missing communication even when stale values agree) *)
-  record_trace : bool;
-      (** record a communication-event timeline in {!Stats} *)
   faults : Fault.t option;
       (** deterministic adversarial-network plan (drop / duplicate /
           delay / slowdown); [None] models the perfectly reliable iPSC
@@ -24,14 +22,6 @@ type t = {
   trace : Fd_trace.Trace.t option;
       (** structured event sink ({!Fd_trace.Trace}); [None] disables
           tracing at zero cost (producers emit through one option match) *)
-  domains : int;
-      (** OCaml domains the scheduler shards processors across; [1]
-          (the default) takes the sequential path and any [N] produces
-          bit-identical {!Stats}, trace, and output *)
-  safe_window : float option;
-      (** conservative-PDES lookahead window in seconds; [None] uses
-          [alpha].  Purely a batching knob — results are independent of
-          its value *)
 }
 
 val ipsc860 : ?nprocs:int -> unit -> t
@@ -39,9 +29,7 @@ val ipsc860 : ?nprocs:int -> unit -> t
 val make :
   ?alpha:float -> ?beta:float -> ?flop:float -> ?mem_op:float ->
   ?word_bytes:int -> ?tree_collectives:bool -> ?strict_validity:bool ->
-  ?record_trace:bool -> ?faults:Fault.t -> ?trace:Fd_trace.Trace.t ->
-  ?domains:int -> ?safe_window:float ->
-  nprocs:int -> unit -> t
+  ?faults:Fault.t -> ?trace:Fd_trace.Trace.t -> nprocs:int -> unit -> t
 
 val message_cost : t -> int -> float
 (** [alpha + beta * bytes]. *)

@@ -5,9 +5,10 @@
 
 open Fd_support
 
-(* Everything the scheduler's remap accounting consumes, captured once
-   so the parallel scheduler's replay phase can re-price a remap without
-   re-planning the data movement (which already happened). *)
+(* Everything the scheduler's remap accounting consumes: the result of
+   planning the data movement, kept apart from the storage objects so
+   the per-processor cost formula ({!Collective.remap_cost}) and the
+   trace read one record. *)
 type remap_summary = {
   rs_array : string;
   rs_total_bytes : int;
@@ -29,12 +30,6 @@ type coll_op =
       obj : Storage.array_obj;  (* my copy of the array *)
       new_layout : Layout.t;
       move : bool;
-    }
-  | Coll_replay_remap of {
-      label : string;  (* array name, for diagnostics before completion *)
-      summary : (remap_summary, exn) result option ref;
-          (* filled when the generation phase performed the remap; [Error]
-             poisons the site with the exception generation hit *)
     }
 
 type _ Effect.t +=

@@ -14,9 +14,10 @@ type remap_summary = {
   rs_pairs : ((int * int) * int) list;  (** sorted ((src, dest), bytes) *)
   rs_mark_only : bool;
 }
-(** Everything the scheduler's remap accounting consumes, captured once
-    so the parallel scheduler's replay phase can re-price a remap
-    without re-planning the (already performed) data movement. *)
+(** Everything the scheduler's remap accounting consumes: the result of
+    planning the data movement, kept apart from the storage objects so
+    the per-processor cost formula ({!Collective.remap_cost}) and the
+    trace read one record. *)
 
 type coll_op =
   | Coll_bcast of {
@@ -31,12 +32,6 @@ type coll_op =
       obj : Storage.array_obj;  (** this processor's copy of the array *)
       new_layout : Layout.t;
       move : bool;  (** physical data movement vs mark-only *)
-    }
-  | Coll_replay_remap of {
-      label : string;  (** array name, for diagnostics before completion *)
-      summary : (remap_summary, exn) result option ref;
-          (** filled when the generation phase performed the remap;
-              [Error] poisons the site with generation's exception *)
     }
 
 type _ Effect.t +=

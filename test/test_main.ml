@@ -19,6 +19,5 @@ let () =
       ("cost", Test_cost.suite);
       ("trace", Test_trace.suite);
       ("integration", Test_integration.suite);
-      ("pdes", Test_pdes.suite);
       ("totality", Test_totality.suite);
     ]

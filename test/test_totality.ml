@@ -163,6 +163,35 @@ let test_budget_partial_run () =
   check (Alcotest.option Alcotest.string) "unbudgeted run is complete" None
     full.Driver.partial
 
+(* Wall-clock budgets depend on host time, so two budgeted runs need not
+   agree; the guarantee is a prefix: the run stops with a partial marker
+   and no final frames, and every monotone counter is bounded by the
+   completed run's.  (Wall time is sampled every 1024 budget ticks;
+   dgefa at P = 64 runs well past one stride.) *)
+let test_budget_wall_prefix () =
+  let file = Filename.concat examples_dir "dgefa.fd" in
+  let opts = { Options.default with Options.nprocs = 64 } in
+  let prog =
+    (Driver.compile_source ~opts ~file (read_file file)).Codegen.program
+  in
+  let config = Config.make ~nprocs:64 () in
+  let full = (Scheduler.run_partial config prog).Scheduler.p_stats in
+  let o = Scheduler.run_partial ~budget:(Budget.make ~wall:0.0 ()) config prog in
+  check Alcotest.bool "stopped early" true (o.Scheduler.p_exhausted <> None);
+  check Alcotest.bool "no final frames" true (o.Scheduler.p_frames = None);
+  let counters (s : Stats.t) =
+    [ ("messages", s.Stats.messages); ("message_bytes", s.Stats.message_bytes);
+      ("bcasts", s.Stats.bcasts); ("bcast_bytes", s.Stats.bcast_bytes);
+      ("remaps", s.Stats.remaps); ("remap_bytes", s.Stats.remap_bytes);
+      ("flops", s.Stats.flops); ("mem_ops", s.Stats.mem_ops) ]
+  in
+  List.iter2
+    (fun (k, vfull) (_, vpart) ->
+      if vpart > vfull then
+        Alcotest.failf "counter %s exceeds the completed run: %d > %d" k vpart
+          vfull)
+    (counters full) (counters o.Scheduler.p_stats)
+
 let test_budget_partial_check () =
   let src = read_file jacobi in
   let compiled = Driver.compile_source ~file:jacobi src in
@@ -275,6 +304,8 @@ let suite =
       test_budget_partial_run;
     Alcotest.test_case "budgeted verification degrades to Info" `Quick
       test_budget_partial_check;
+    Alcotest.test_case "wall budget yields a prefix" `Quick
+      test_budget_wall_prefix;
     Alcotest.test_case "CLI exit-code table" `Slow test_cli_exit_codes;
     Alcotest.test_case "mutators are seed-deterministic" `Quick
       test_mutate_deterministic;

@@ -1,8 +1,9 @@
 (* The ensemble tracing & metrics layer: ring-buffer semantics, the
    metrics registry, exporter shapes, and the cross-layer properties —
    trace totals agree with Stats, the dynamic trace refines the static
-   verifier's skeleton, and fault-free traces are bit-identical across
-   runs. *)
+   verifier's skeleton, and simulation is reproducible: two runs of one
+   compiled program, and two compiles of one source in one process, are
+   bit-identical. *)
 
 open Fd_core
 open Fd_machine
@@ -85,10 +86,10 @@ let metrics_registry () =
 
 (* --- Traced runs ---------------------------------------------------------- *)
 
-let run_traced ?(nprocs = 4) ?(domains = 1) ?(strategy = Options.Interproc) src =
+let run_traced ?(nprocs = 4) ?(strategy = Options.Interproc) src =
   let tr = Tr.create () in
   let opts = { Options.default with Options.nprocs; strategy } in
-  let machine = Config.make ~domains ~nprocs ~trace:tr () in
+  let machine = Config.make ~nprocs ~trace:tr () in
   let r = Driver.run_source ~opts ~machine src in
   (tr, r)
 
@@ -269,24 +270,87 @@ let trace_within_skeleton seed =
              | _ -> true))
     strategies
 
-(* Fault-free simulation is deterministic: two runs of the same program
-   produce traces identical in every field — including across scheduler
-   domain counts (the parallel scheduler claims bit-identity). *)
-let domains_gen = QCheck2.Gen.(pair (int_range 0 100_000) (oneofl [ 1; 2; 4; 8 ]))
-
-let deterministic_without_faults (seed, domains) =
+(* Fault-free simulation is deterministic: two compile-and-run passes
+   over the same source in one process produce traces identical in
+   every field. *)
+let deterministic_without_faults seed =
   let src = src_of_seed seed in
   let tr1, r1 = run_traced src in
-  let tr2, r2 = run_traced ~domains src in
+  let tr2, r2 = run_traced src in
   Driver.verified r1 && Driver.verified r2
   && Tr.total tr1 = Tr.total tr2
   && Tr.to_list tr1 = Tr.to_list tr2
 
-let deterministic_2d (seed, domains) =
+let deterministic_2d seed =
   let src = src_of_seed ~two_d:true seed in
   let tr1, r1 = run_traced src in
-  let tr2, r2 = run_traced ~domains src in
+  let tr2, r2 = run_traced src in
   Driver.verified r1 && Driver.verified r2 && Tr.to_list tr1 = Tr.to_list tr2
+
+(* --- Sequential rerun canary ----------------------------------------------- *)
+
+let examples_dir =
+  if Sys.file_exists "../examples" then "../examples" else "examples"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Every observable of one simulation: the full Stats JSON (counters,
+   clocks, busy, outputs), the trace ring's events in emission order,
+   the normalized golden skeleton, and the partial-result marker. *)
+type obs = {
+  o_stats : string;
+  o_events : Tr.ev list;
+  o_skeleton : string list;
+  o_partial : string option;
+}
+
+let sim ?budget ~nprocs prog =
+  let tr = Tr.create () in
+  let r = Scheduler.run_partial ?budget (Config.make ~nprocs ~trace:tr ()) prog in
+  Alcotest.(check int) "ring kept every event" 0 (Tr.dropped tr);
+  {
+    o_stats = Fd_support.Json.to_string (Stats.to_json r.Scheduler.p_stats);
+    o_events = Tr.to_list tr;
+    o_skeleton = Export.skeleton tr;
+    o_partial = r.Scheduler.p_exhausted;
+  }
+
+let check_obs label a b =
+  Alcotest.(check string) (label ^ ": stats json") a.o_stats b.o_stats;
+  Alcotest.(check bool) (label ^ ": trace events bit-identical") true
+    (a.o_events = b.o_events);
+  Alcotest.(check (list string)) (label ^ ": skeleton") a.o_skeleton
+    b.o_skeleton;
+  Alcotest.(check (option string)) (label ^ ": partial") a.o_partial
+    b.o_partial
+
+(* No process-global state leaks between runs: compiling one source twice
+   gives the same node program, and simulating one compiled program twice
+   (with and without a step budget) gives the same observables.  jacobi2d
+   exercises shifts; adi_dynamic physical and mark-only remaps and
+   broadcasts. *)
+let sequential_rerun_canary () =
+  let nprocs = 8 in
+  List.iter
+    (fun file ->
+      let src = read_file (Filename.concat examples_dir file) in
+      let opts = { Options.default with Options.nprocs } in
+      let compile () = (Driver.compile_source ~opts src).Codegen.program in
+      let prog = compile () in
+      Alcotest.(check string) (file ^ ": recompile: node program")
+        (Node.program_to_string prog)
+        (Node.program_to_string (compile ()));
+      check_obs (file ^ ": rerun") (sim ~nprocs prog) (sim ~nprocs prog);
+      let budget = Fd_support.Budget.make ~steps:50 () in
+      let a = sim ~budget ~nprocs prog in
+      Alcotest.(check bool) (file ^ ": budgeted run stops early") true
+        (a.o_partial <> None);
+      check_obs (file ^ ": budgeted rerun") a (sim ~budget ~nprocs prog))
+    [ "jacobi2d.fd"; "adi_dynamic.fd" ]
 
 (* Pipeline spans: one per pass, in pass order. *)
 let pipeline_spans () =
@@ -320,8 +384,9 @@ let suite =
       replay_matches_stats;
     prop ~count:15 "generated: trace within static skeleton" seed_gen
       trace_within_skeleton;
-    prop ~count:20 "generated: fault-free traces bit-identical across domains"
-      domains_gen deterministic_without_faults;
-    prop ~count:10 "generated 2-D: traces bit-identical across domains"
-      domains_gen deterministic_2d;
+    prop ~count:20 "generated: fault-free traces bit-identical across reruns"
+      seed_gen deterministic_without_faults;
+    prop ~count:10 "generated 2-D: traces bit-identical across reruns"
+      seed_gen deterministic_2d;
+    Alcotest.test_case "sequential rerun canary" `Quick sequential_rerun_canary;
   ]

@@ -155,8 +155,11 @@ let gather_detects_mismatch () =
 
 let no_calls _callee _args = Dynamic_decomp.SS.empty
 
+let remap_sids = ref Dynamic_decomp.pseudo_sid_base
+
 let remap name kind : Ast.stmt =
-  Dynamic_decomp.remap_stmt
+  incr remap_sids;
+  Dynamic_decomp.remap_stmt ~sid:!remap_sids
     { Dynamic_decomp.rm_array = name;
       rm_decomp = Decomp.of_kinds [ kind ];
       rm_move = true }
@@ -257,23 +260,19 @@ let driver_speedup () =
 (* --- Trace recording ------------------------------------------------------------------- *)
 
 let trace_recording () =
-  let machine = Config.make ~nprocs:4 ~record_trace:true () in
+  let module Tr = Fd_trace.Trace in
+  let tr = Tr.create () in
+  let machine = Config.make ~nprocs:4 ~trace:tr () in
   let r = Driver.run_source ~machine (Fd_workloads.Figures.fig1 ~n:100 ()) in
-  let tr = Stats.trace r.Driver.stats in
-  check "trace nonempty" true (tr <> []);
-  let sends = List.filter (function Stats.Ev_send _ -> true | _ -> false) tr in
-  check_int "one event per message" r.Driver.stats.Stats.messages (List.length sends);
+  check_int "ring kept every event" 0 (Tr.dropped tr);
+  check "trace nonempty" true (Tr.length tr > 0);
+  check_int "one send event per message" r.Driver.stats.Stats.messages
+    (Tr.count tr ~kind:Tr.Send);
   (* timeline is per-event plausible: all timestamps nonnegative *)
   check "timestamps nonnegative" true
-    (List.for_all
-       (function
-         | Stats.Ev_send { at; _ } | Stats.Ev_recv { at; _ }
-         | Stats.Ev_bcast { at; _ } | Stats.Ev_remap { at; _ }
-         | Stats.Ev_fault { at; _ } -> at >= 0.0)
-       tr);
-  (* no trace without the flag *)
-  let r2 = Driver.run_source (Fd_workloads.Figures.fig1 ~n:100 ()) in
-  check "no trace by default" true (Stats.trace r2.Driver.stats = [])
+    (Tr.fold tr true (fun ok e -> ok && e.Tr.at >= 0.0));
+  (* no trace without a sink *)
+  check "no trace by default" true ((Config.make ~nprocs:4 ()).Config.trace = None)
 
 let suite =
   [

@@ -281,17 +281,22 @@ let test_payload_sizes () =
             r.Absint.events;
           if r.Absint.complete && !sizable then begin
             compared := file :: !compared;
+            (* the ring keeps every event kind: adi_static alone emits
+               ~157k at P = 16, past the default capacity *)
+            let tr = Fd_trace.Trace.create ~capacity:(1 lsl 18) () in
             let config =
-              { (Driver.machine_config opts) with Config.record_trace = true }
+              { (Driver.machine_config opts) with Config.trace = Some tr }
             in
-            let stats, _ = Scheduler.run config prog in
+            ignore (Scheduler.run config prog);
+            check Alcotest.int
+              (Fmt.str "%s [P=%d]: ring kept every send" file nprocs)
+              0 (Fd_trace.Trace.dropped tr);
             let sim =
-              List.filter_map
-                (function
-                  | Stats.Ev_send { src; dest; tag; bytes; at = _ } ->
-                    Some (src, dest, tag, bytes)
-                  | _ -> None)
-                (Stats.trace stats)
+              Fd_trace.Trace.fold tr [] (fun acc e ->
+                  match e.Fd_trace.Trace.kind with
+                  | Fd_trace.Trace.Send ->
+                    Fd_trace.Trace.(e.proc, e.peer, e.tag, e.bytes) :: acc
+                  | _ -> acc)
             in
             let show l =
               List.sort compare l
